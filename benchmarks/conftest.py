@@ -15,7 +15,6 @@ import re
 
 import pytest
 
-from repro.arrays import numpy_version, resolve_array_backend
 from repro.experiments import ExperimentConfig, run_experiment, to_text
 
 # WiFi ranges swept by the reduced-scale harness (paper: 20-100 m).
@@ -54,44 +53,41 @@ def _wall_clock_seconds(benchmark) -> float | None:
         return None
 
 
-def report(result, benchmark=None, slug=None, metadata=None) -> None:
+def report(result, benchmark=None, slug=None) -> None:
     """Print an experiment's rows and archive them under benchmark_results/.
 
     The archived ``<slug>.txt`` tables are what EXPERIMENTS.md's measured
-    numbers come from; printing as well means ``pytest -s`` shows them
+    numbers come from; they are deterministic, so rewriting them leaves the
+    tree unchanged.  Printing as well means ``pytest -s`` shows them
     inline.  When the pytest-benchmark fixture is passed along, a
-    machine-readable ``BENCH_<slug>.json`` is written next to the table with
-    the wall-clock and simulation-event throughput, giving future PRs a perf
-    trajectory to compare against.  ``slug`` overrides the filename stem
-    (default: slugified ``result.name``); ``metadata`` merges extra keys
-    into the JSON payload (e.g. an A/B throughput breakdown).
+    machine-readable ``BENCH_<slug>.json`` with the wall-clock and
+    simulation-event throughput goes to the git-ignored
+    ``benchmark_results/latest/``: wall-clock numbers differ run to run, and
+    the committed ``benchmark_results/BENCH_*.json`` are ``perf-gate``
+    baselines, refreshed only by an explicit copy (see EXPERIMENTS.md).
+    ``slug`` overrides the filename stem (default: slugified
+    ``result.name``).
     """
     table = to_text(result)
     print()
     print(table)
     results_dir = pathlib.Path(__file__).resolve().parent.parent / "benchmark_results"
-    results_dir.mkdir(exist_ok=True)
+    latest_dir = results_dir / "latest"
+    latest_dir.mkdir(parents=True, exist_ok=True)
     if slug is None:
         slug = re.sub(r"[^a-z0-9]+", "-", result.name.lower()).strip("-")[:60]
     (results_dir / f"{slug}.txt").write_text(table + "\n", encoding="utf-8")
 
     wall_s = _wall_clock_seconds(benchmark) if benchmark is not None else None
     events = sum(int(point.extras.get("events", 0)) for point in result.points)
-    backend = resolve_array_backend()
     payload = {
         "name": result.name,
         "wall_clock_s": round(wall_s, 4) if wall_s is not None else None,
         "events": events,
         "events_per_sec": round(events / wall_s, 1) if wall_s else None,
-        # Which hot path produced the wall-clock numbers: throughput across
-        # different array backends is not comparable (diff flags it).
-        "array_backend": backend,
-        "numpy_version": numpy_version() if backend == "numpy" else None,
         "points": result.rows(),
     }
-    if metadata:
-        payload.update(metadata)
-    (results_dir / f"BENCH_{slug}.json").write_text(
+    (latest_dir / f"BENCH_{slug}.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )

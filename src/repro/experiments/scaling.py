@@ -3,9 +3,8 @@
 Not a paper figure — a first-class *performance* artefact.  The ROADMAP's
 perf trajectory tracks events/sec on one fixed benchmark config (fig9a);
 this spec makes the other axis visible: how throughput scales with node
-count, which is where the array-native hot path (``ChannelConfig.
-array_backend``) pulls ahead of the scalar reference paths.  Per-trial
-profiles are always collected (the ``profile`` override below), so
+count on the default ``grid`` neighbor index.  Per-trial profiles are
+always collected (the ``profile`` override below), so
 ``profile.engine.events_per_sec`` is a queryable metric::
 
     repro-experiments run scaling --store
@@ -14,9 +13,8 @@ profiles are always collected (the ``profile`` override below), so
 The swept axis scales the preset's mobile-downloader population, the group
 that dominates both medium traffic and neighbor-query load; the resolved
 count is recorded under ``mobile_downloaders`` in every row.  Wall-clock
-derived metrics vary machine to machine — compare scaling *shapes* (and
-check the metadata's ``array_backend``) rather than absolute rates, and
-note ``repro-experiments diff`` flags cross-backend comparisons.
+derived metrics vary machine to machine — compare scaling *shapes*
+rather than absolute rates.
 """
 
 from __future__ import annotations
@@ -45,17 +43,6 @@ SPEC_SCALING = register_experiment(
         ),
         variants=(
             Variant(label="Mobile downloaders={mobile_downloaders}"),
-            # The region-sharded medium (repro.wireless.sharded): byte-
-            # identical download/overhead results to the unsharded variant
-            # (asserted in tests/test_sharded_medium.py), so any events/sec
-            # difference between the two series is pure medium overhead /
-            # speedup — the interleaved A/B the ROADMAP perf trajectory and
-            # the BENCH_scaling artifact record.
-            Variant(
-                label="Mobile downloaders={mobile_downloaders}, sharded K=4",
-                overrides={"shards": 4, "shard_workers": 4},
-                parameters={"sharded": 1},
-            ),
         ),
         # Profiles are the point of this spec: events/sec lives there.
         # (trials stays CLI-controllable; spec overrides would shadow it.)

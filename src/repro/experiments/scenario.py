@@ -85,24 +85,6 @@ class ExperimentConfig:
     workers: int = 1
     neighbor_index: str = "grid"
     delivery: str = "batched"
-    # Hot-path implementation selector (see repro.arrays): "auto" picks the
-    # array-native NumPy path when importable, scalar otherwise; results are
-    # byte-identical across backends.
-    array_backend: str = "auto"
-    # Region sharding (see repro.wireless.sharded): shards=1 keeps the single
-    # world-spanning index; K > 1 partitions the area into K x-stripe regions
-    # of area_size/K metres each, with deterministic epoch-synchronized
-    # membership.  shard_workers > 1 steps shard snapshot builds concurrently
-    # at each epoch barrier (shard_executor: thread/process/serial).  All
-    # combinations are byte-identical — sharding is purely a
-    # scalability/parallelism switch.
-    shards: int = 1
-    shard_workers: int = 1
-    shard_executor: str = "thread"
-    # Population threshold for the array-native index's scalar/vectorized
-    # crossover (None keeps the measured defaults: 256 for "grid", 1 for
-    # "grid_array"); see ChannelConfig.scalar_query_limit.
-    scalar_query_limit: Optional[int] = None
     # Collect a performance profile per trial (repro.profiling); the profile
     # rides along in RunResult.profile and the CLI's --profile output.  Off
     # by default: profiles hold wall-clock numbers, which are not
@@ -248,25 +230,13 @@ class ExperimentConfig:
         return per_file * self.num_files
 
     def channel(self) -> ChannelConfig:
-        # Region width defaults to area/shards so the K shards tile the
-        # simulation area evenly (the ChannelConfig-level default — the grid
-        # cell edge — is for direct medium users who have no area to tile).
-        region_width = None
-        if self.shards > 1:
-            region_width = max(self.area_size / self.shards, 1e-9)
         return ChannelConfig(
             wifi_range=self.wifi_range,
             loss_rate=self.loss_rate,
             neighbor_index=self.neighbor_index,
-            array_backend=self.array_backend,
             delivery=self.delivery,
             propagation=self.propagation,
             propagation_params=dict(self.propagation_params),
-            shards=self.shards,
-            shard_workers=self.shard_workers,
-            shard_executor=self.shard_executor,
-            shard_region_width=region_width,
-            scalar_query_limit=self.scalar_query_limit,
         )
 
 

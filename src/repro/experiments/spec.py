@@ -17,7 +17,6 @@ the registry on the command line.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -198,34 +197,6 @@ class ExperimentSpec:
     ) -> int:
         """How many ``(point, trial)`` tasks the spec flattens into."""
         return sum(len(plan.seeds) for plan in self.plan(config, axes))
-
-
-# ============================================================ shim support
-def deprecated_shim(spec: ExperimentSpec):
-    """Class decorator tying a historical figure class to its registry spec.
-
-    Sets ``cls.spec`` (the single source of truth the shim's ``run()`` must
-    forward to — tests assert no silent drift) and generates the one-line
-    docstring, so shim modules carry neither duplicated docstrings nor
-    duplicated spec references.
-    """
-
-    def apply(cls):
-        cls.spec = spec
-        cls.__doc__ = f"Deprecated shim over the registered ``{spec.name}`` spec."
-        return cls
-
-    return apply
-
-
-def warn_deprecated_shim(instance: object) -> None:
-    """Emit the standard shim deprecation warning (call from ``__init__``)."""
-    cls = type(instance)
-    warnings.warn(
-        f"{cls.__name__} is deprecated; use run_experiment({cls.spec.name!r}, ...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # ================================================================= registry

@@ -5,9 +5,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-from repro.arrays import numpy_or_none
+from typing import Iterable, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -62,45 +60,6 @@ class MobilityModel(ABC):
         position_xy = self.position_xy
         return [position_xy(node_id, time) for node_id in node_ids]
 
-    def positions_array(self, node_ids: Sequence[str], time: float):
-        """Batched :meth:`position_xy` as an ``(N, 2)`` float64 NumPy array.
-
-        Row ``i`` is the position of ``node_ids[i]`` at ``time``, bit-identical
-        to :meth:`position_xy` — the array-native spatial index and the
-        batched link evaluator are built on this contract, with the scalar
-        per-node queries as the oracle.  Models with leg caches override
-        this with a fused vectorized evaluation over all nodes; the default
-        materialises :meth:`positions_at`.  Requires NumPy (callers resolve
-        the backend through :func:`repro.arrays.resolve_array_backend` and
-        only take this path when it is available).
-        """
-        np = numpy_or_none()
-        if np is None:
-            raise RuntimeError(
-                "positions_array requires NumPy; use positions_at on the "
-                "scalar path (see repro.arrays.resolve_array_backend)"
-            )
-        return np.asarray(
-            self.positions_at(node_ids, time), dtype=np.float64
-        ).reshape(-1, 2)
-
-    def coordinates_at(
-        self, node_ids: Sequence[str], time: float
-    ) -> List[Tuple[float, float]]:
-        """Batched ``(x, y)`` pairs as plain Python floats, fastest path wins.
-
-        Takes :meth:`positions_array` when NumPy is importable (one fused
-        vectorized evaluation over all nodes, then ``tolist`` back to float
-        pairs) and :meth:`positions_at` otherwise.  Both produce bit-identical
-        floats by the :meth:`positions_array` contract, so callers that feed
-        these coordinates into snapshots or membership assignment get the
-        same bytes on every backend.  The sharded medium's epoch barrier and
-        the fault manager's spatial group resolution are the main consumers.
-        """
-        if numpy_or_none() is not None:
-            return [tuple(row) for row in self.positions_array(node_ids, time).tolist()]
-        return list(self.positions_at(node_ids, time))
-
     def speed_bound(self) -> float:
         """An upper bound on any node's speed in m/s (``inf`` if unknown).
 
@@ -124,54 +83,6 @@ class MobilityModel(ABC):
     def distance(self, node_a: str, node_b: str, time: float) -> float:
         """Distance in metres between two nodes at ``time``."""
         return self.position(node_a, time).distance_to(self.position(node_b, time))
-
-
-class LegArrayCache:
-    """Per-node leg parameters packed into one ``(N, K)`` float64 array.
-
-    The vectorized ``positions_array`` implementations share one shape of
-    work: keep a row of piecewise-linear leg parameters per node, aligned to
-    the caller's node-order tuple; on each query refresh only the rows whose
-    validity window no longer covers the queried time (via the model's
-    scalar leg lookup, which also feeds its per-node Python leg cache), then
-    evaluate all rows in fused array expressions.  Legs change rarely
-    relative to queries, so the per-query cost is a vectorized window check
-    plus O(stale) scalar refreshes.
-
-    ``K`` is model-specific; columns 0 and ``valid_to_column`` bound the
-    validity window (``row[0] <= time <= row[valid_to_column]``).  A new
-    node-order tuple or a mobility-version change invalidates every row.
-    """
-
-    __slots__ = ("columns", "valid_to_column", "_order", "_version", "_rows")
-
-    def __init__(self, columns: int, valid_to_column: int = 1):
-        self.columns = columns
-        self.valid_to_column = valid_to_column
-        self._order: Tuple[str, ...] = ()
-        self._version: Optional[int] = None
-        self._rows = None
-
-    def rows_for(self, np, node_ids: Sequence[str], version: int, time: float, refresh):
-        """The parameter array for ``node_ids``, every row covering ``time``.
-
-        ``refresh(node_id)`` must return the row (an iterable of ``columns``
-        floats) whose validity window contains ``time``.
-        """
-        order = tuple(node_ids)
-        rows = self._rows
-        if rows is None or order != self._order or version != self._version:
-            rows = np.empty((len(order), self.columns), dtype=np.float64)
-            stale = range(len(order))
-            self._order = order
-            self._version = version
-            self._rows = rows
-        else:
-            valid = (rows[:, 0] <= time) & (time <= rows[:, self.valid_to_column])
-            stale = np.flatnonzero(~valid)
-        for index in stale:
-            rows[index] = refresh(order[index])
-        return rows
 
 
 class PositionCache:

@@ -9,12 +9,10 @@ disconnected and sometimes in range of each other (scenario 3).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.arrays import numpy_or_none
-from repro.mobility.base import LegArrayCache, MobilityModel, Position
+from repro.mobility.base import MobilityModel, Position
 
 
 @dataclass(frozen=True)
@@ -41,10 +39,6 @@ class ScriptedMobility(MobilityModel):
     def __init__(self):
         self._waypoints: Dict[str, List[Waypoint]] = {}
         self._version = 0
-        # Vectorized leg rows for positions_array: one row of
-        # (valid_from, valid_to, t0, span, x0, y0, dx, dy) per node, where
-        # position = (x0, y0) + (dx, dy) * (time - t0) / span.
-        self._leg_rows = LegArrayCache(8)
 
     def add_node(self, node_id: str, waypoints: Iterable[Waypoint | Tuple[float, float, float]]) -> None:
         """Register a node with its waypoint trace (must be non-empty)."""
@@ -76,62 +70,6 @@ class ScriptedMobility(MobilityModel):
 
     def mobility_version(self) -> int:
         return self._version
-
-    def positions_array(self, node_ids, time: float):
-        np = numpy_or_none()
-        if np is None:
-            return super().positions_array(node_ids, time)
-        rows = self._leg_rows.rows_for(
-            np, node_ids, self._version, time, self._leg_row_at(time)
-        )
-        fraction = (time - rows[:, 2]) / rows[:, 3]
-        return rows[:, 4:6] + rows[:, 6:8] * fraction[:, None]
-
-    def _leg_row_at(self, time: float):
-        """Refresh callback: the leg row whose evaluation matches _interpolate.
-
-        Validity windows must partition time exactly the way the scalar scan
-        resolves boundary queries (first matching pair wins, the after-last
-        branch wins at the final waypoint's own timestamp), so a cached row
-        never answers a timestamp the scalar code would have resolved with a
-        different leg.  Hence the half-open windows via ``math.nextafter``.
-        """
-
-        def refresh(node_id: str):
-            try:
-                waypoints = self._waypoints[node_id]
-            except KeyError:
-                raise KeyError(f"node {node_id!r} has no scripted trace") from None
-            first, last = waypoints[0], waypoints[-1]
-            if time <= first.time:
-                return (-math.inf, first.time, 0.0, 1.0, first.x, first.y, 0.0, 0.0)
-            if time >= last.time:
-                return (last.time, math.inf, 0.0, 1.0, last.x, last.y, 0.0, 0.0)
-            for earlier, later in zip(waypoints, waypoints[1:]):
-                if earlier.time <= time <= later.time:
-                    # Pair j owns (t_j, t_{j+1}]: at time == t_j the scalar
-                    # scan already matched pair j-1, and time >= t_last goes
-                    # to the constant branch above.
-                    valid_from = math.nextafter(earlier.time, math.inf)
-                    valid_to = later.time
-                    if later is last:
-                        valid_to = math.nextafter(valid_to, -math.inf)
-                    span = later.time - earlier.time
-                    if span == 0:
-                        return (valid_from, valid_to, 0.0, 1.0, earlier.x, earlier.y, 0.0, 0.0)
-                    return (
-                        valid_from,
-                        valid_to,
-                        earlier.time,
-                        span,
-                        earlier.x,
-                        earlier.y,
-                        later.x - earlier.x,
-                        later.y - earlier.y,
-                    )
-            return (time, time, 0.0, 1.0, last.x, last.y, 0.0, 0.0)  # pragma: no cover - defensive
-
-        return refresh
 
     def speed_bound(self) -> float:
         """Fastest leg speed across all traces (exact: traces are known upfront)."""

@@ -93,9 +93,6 @@ def collect_run_profile(sim, medium, wall_clock_s: float, churn=None, faults=Non
     profile["wireless.arq_retries"] = float(medium.arq_retries)
     profile["wireless.completed_transmissions"] = float(medium.completed_transmissions)
     profile["wireless.link_evaluations"] = float(getattr(medium, "link_evaluations", 0))
-    vectorized = getattr(medium, "vectorized_link_evaluations", None)
-    if vectorized is not None:
-        profile["propagation.vectorized_link_evaluations"] = float(vectorized)
 
     propagation = getattr(medium, "propagation", None)
     if propagation is not None:
@@ -112,22 +109,6 @@ def collect_run_profile(sim, medium, wall_clock_s: float, churn=None, faults=Non
         rebuilds = getattr(index, "rebuilds", None)
         if rebuilds is not None:
             profile["spatial.snapshot_rebuilds"] = float(rebuilds)
-        array_rebuilds = getattr(index, "array_rebuilds", None)
-        if array_rebuilds is not None:
-            profile["spatial.array_rebuilds"] = float(array_rebuilds)
-        # Region-sharding counters — only when the medium is sharded, so
-        # unsharded profiles keep their pre-sharding key set.
-        if getattr(index, "partition", None) is not None:
-            profile["spatial.shards"] = float(index.partition.shards)
-            profile["spatial.epoch_rolls"] = float(index.epoch_rolls)
-            profile["spatial.shard_snapshot_builds"] = float(index.snapshot_builds)
-            profile["spatial.shard_migrations"] = float(index.shard_migrations)
-            profile["spatial.boundary_queries"] = float(index.boundary_queries)
-            profile["spatial.boundary_candidates"] = float(index.boundary_candidates)
-            profile["spatial.boundary_merged"] = float(index.boundary_merged)
-            profile["spatial.parallel_barriers"] = float(
-                index.executor.parallel_barriers
-            )
 
     mobility = getattr(medium, "mobility", None)
     legs = _count_mobility_legs(mobility)

@@ -5,11 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.arrays import ARRAY_BACKENDS
-
-NEIGHBOR_INDEX_BACKENDS = ("grid", "grid_array", "brute")
+NEIGHBOR_INDEX_BACKENDS = ("grid", "brute")
 DELIVERY_MODES = ("batched", "per_receiver")
-SHARD_EXECUTOR_MODES = ("serial", "thread", "process")
 
 
 @dataclass
@@ -33,18 +30,8 @@ class ChannelConfig:
         preamble/header and MAC framing.
     neighbor_index:
         Neighbor-resolution backend: ``"grid"`` (bucketed spatial index, the
-        default — auto-upgraded to the array-native index when the resolved
-        ``array_backend`` is NumPy), ``"grid_array"`` (the array-native
-        index, explicitly) or ``"brute"`` (O(N) reference scan).  All
-        produce identical results; ``"brute"`` exists for equivalence
-        testing.
-    array_backend:
-        Hot-path implementation selector (see :mod:`repro.arrays`):
-        ``"auto"`` (the default — NumPy when importable, scalar otherwise),
-        ``"numpy"`` (array-native; warns once and degrades to scalar if
-        NumPy is missing) or ``"scalar"`` (the reference oracle paths).
-        Purely a performance switch: results are byte-identical across
-        backends.
+        default) or ``"brute"`` (O(N) reference scan).  Both produce
+        identical results; ``"brute"`` exists for equivalence testing.
     index_cell_size:
         Grid cell edge in metres (``None`` means use ``wifi_range``).
     index_rebuild_interval:
@@ -73,38 +60,6 @@ class ChannelConfig:
     inter_frame_space:
         Gap between back-to-back frames of one sender in seconds,
         approximating DIFS + MAC processing.
-    shards:
-        Number of spatial region shards (see :mod:`repro.wireless.sharded`).
-        ``1`` (the default) keeps the single world-spanning index; ``K > 1``
-        partitions the world into K x-stripe regions with deterministic
-        epoch-synchronized membership.  Results are byte-identical either
-        way — sharding is purely a scalability/parallelism switch.  Requires
-        a grid backend (``"brute"`` has no regions to shard).
-    shard_workers:
-        Worker count for stepping shard snapshot builds concurrently at
-        each epoch barrier.  ``1`` (the default) steps serially; ``> 1``
-        uses the executor selected by ``shard_executor``.  Byte-identical
-        results in every mode.
-    shard_executor:
-        ``"thread"`` (the default — NumPy snapshot kernels release the GIL),
-        ``"process"`` (GIL-free fallback, pays pickling per barrier) or
-        ``"serial"``.  Only consulted when ``shard_workers > 1``.
-    shard_epoch:
-        Synchronization epoch length in simulated seconds (``None`` means
-        use ``index_rebuild_interval``): membership is reassigned and shard
-        snapshots are rebuilt at every epoch barrier.
-    shard_region_width:
-        Width in metres of one x-stripe region (``None`` means the true
-        propagation reach, i.e. the default grid cell edge).  Experiment
-        configs set ``area / shards`` so regions tile the area evenly.
-    scalar_query_limit:
-        Population threshold below which the array-native grid index runs
-        its scalar strategy (NumPy's fixed per-call costs lose to leg-cached
-        scalar loops at small N).  ``None`` keeps the measured defaults —
-        256 for ``"grid"``, 1 (always vectorize) for ``"grid_array"``; an
-        explicit value overrides both, letting experiments tune the
-        crossover and letting shard-local populations pick their own
-        strategy.  Purely a performance switch: results are identical.
     """
 
     data_rate_bps: float = 11_000_000.0
@@ -112,7 +67,6 @@ class ChannelConfig:
     loss_rate: float = 0.10
     per_frame_overhead_s: float = 0.000192
     neighbor_index: str = "grid"
-    array_backend: str = "auto"
     index_cell_size: Optional[float] = None
     index_rebuild_interval: float = 1.0
     delivery: str = "batched"
@@ -121,12 +75,6 @@ class ChannelConfig:
     unicast_retry_limit: int = 3
     unicast_retry_backoff: float = 0.002
     inter_frame_space: float = 0.00005
-    shards: int = 1
-    shard_workers: int = 1
-    shard_executor: str = "thread"
-    shard_epoch: Optional[float] = None
-    shard_region_width: Optional[float] = None
-    scalar_query_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.data_rate_bps <= 0:
@@ -140,10 +88,6 @@ class ChannelConfig:
         if self.neighbor_index not in NEIGHBOR_INDEX_BACKENDS:
             raise ValueError(
                 f"neighbor_index must be one of {NEIGHBOR_INDEX_BACKENDS}, got {self.neighbor_index!r}"
-            )
-        if self.array_backend not in ARRAY_BACKENDS:
-            raise ValueError(
-                f"array_backend must be one of {ARRAY_BACKENDS}, got {self.array_backend!r}"
             )
         if self.index_cell_size is not None and self.index_cell_size <= 0:
             raise ValueError("index_cell_size must be positive")
@@ -159,28 +103,6 @@ class ChannelConfig:
             raise ValueError("unicast_retry_backoff must be non-negative")
         if self.inter_frame_space < 0:
             raise ValueError("inter_frame_space must be non-negative")
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise ValueError("shards must be a positive integer")
-        if self.shards > 1 and self.neighbor_index == "brute":
-            raise ValueError(
-                "shards > 1 requires a grid neighbor index (brute has no "
-                "regions to shard); use neighbor_index='grid' or 'grid_array'"
-            )
-        if not isinstance(self.shard_workers, int) or self.shard_workers < 1:
-            raise ValueError("shard_workers must be a positive integer")
-        if self.shard_executor not in SHARD_EXECUTOR_MODES:
-            raise ValueError(
-                f"shard_executor must be one of {SHARD_EXECUTOR_MODES}, "
-                f"got {self.shard_executor!r}"
-            )
-        if self.shard_epoch is not None and self.shard_epoch <= 0:
-            raise ValueError("shard_epoch must be positive")
-        if self.shard_region_width is not None and self.shard_region_width <= 0:
-            raise ValueError("shard_region_width must be positive")
-        if self.scalar_query_limit is not None and (
-            not isinstance(self.scalar_query_limit, int) or self.scalar_query_limit < 1
-        ):
-            raise ValueError("scalar_query_limit must be a positive integer")
         # Validate the propagation selection eagerly so misconfigured sweeps
         # fail at config construction, not mid-trial in a pool worker.
         from repro.wireless.propagation import validate_propagation

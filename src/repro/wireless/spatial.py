@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.arrays import numpy_or_none, resolve_array_backend
 from repro.mobility.base import MobilityModel, PositionCache
 
 #: Default validity window (simulated seconds) of one grid snapshot.
@@ -229,7 +228,7 @@ class GridNeighborIndex(NeighborIndex):
         """Bucket every node's exact position at ``time``.
 
         The batched positions_at query avoids allocating one Position per
-        node.  Subclasses override this with alternative snapshot layouts.
+        node.
         """
         node_ids = self.node_ids
         coords = self._positions_at(node_ids, time)
@@ -248,170 +247,6 @@ class GridNeighborIndex(NeighborIndex):
         self._cells = cells
 
 
-class ArrayGridNeighborIndex(GridNeighborIndex):
-    """Array-native grid index: NumPy snapshot, vectorized classification.
-
-    Same drift-bounded snapshot contract (and therefore the same results) as
-    :class:`GridNeighborIndex`, with a population-adaptive strategy (both
-    modes are result-identical to the scalar backends):
-
-    * ``N < scalar_query_limit`` — behaves exactly like the parent scalar
-      grid.  NumPy's fixed per-call costs (array allocation, mask
-      evaluation) outweigh a handful of leg-cached scalar lookups at small
-      populations — measured on the fig9a benchmark config, the scalar
-      loops win well past 50 nodes — so vectorizing there would *cost*
-      throughput.
-    * larger ``N`` — the snapshot becomes one
-      :meth:`~repro.mobility.base.MobilityModel.positions_array` call into
-      contiguous ``(N, 2)`` coordinates plus vectorized cell bucketing:
-      ``floor`` into integer cell coordinates, encode ``(cx, cy)`` into one
-      int64, stable-argsort so each cell's rows stay in attach order, then
-      answer queries with two ``searchsorted`` calls per touched cell and
-      fused squared-distance classification masks.
-
-    The uncertain ring (snapshot distance between ``inner`` and ``outer``)
-    still does exact per-node position checks through the same scalar
-    ``position_xy`` the oracle uses — bit-identical floats by contract.
-    ``scalar_query_limit=1`` forces the vectorized machinery at any size
-    (``neighbor_index="grid_array"`` requests exactly that).
-    """
-
-    #: Injective (cx, cy) -> int64 encoding stride (|cx|, |cy| < 2**31).
-    _CELL_STRIDE = 1 << 32
-
-    def __init__(
-        self,
-        mobility: MobilityModel,
-        cell_size: float,
-        rebuild_interval: float = DEFAULT_REBUILD_INTERVAL,
-        scalar_query_limit: int = 256,
-    ):
-        super().__init__(mobility, cell_size, rebuild_interval)
-        np = numpy_or_none()
-        if np is None:
-            raise RuntimeError(
-                "ArrayGridNeighborIndex requires NumPy; use GridNeighborIndex "
-                "on the scalar path (see repro.arrays.resolve_array_backend)"
-            )
-        self._np = np
-        self.scalar_query_limit = scalar_query_limit
-        self._positions_array = mobility.positions_array
-        self.array_rebuilds = 0
-        self._snap_order: Tuple[str, ...] = ()
-        self._snap_pos = None
-        self._row_of: Dict[str, int] = {}
-        self._sorted_codes = None
-        self._sorted_rows = None
-        self._scalar_strategy = True
-
-    # ------------------------------------------------------------ membership
-    # The query strategy depends only on the population size, which only
-    # changes on attach/detach — deciding it here keeps the per-query
-    # dispatch to a single attribute check (no double snapshot validation).
-    def attach(self, node_id: str) -> None:
-        super().attach(node_id)
-        self._scalar_strategy = len(self._attach_order) < self.scalar_query_limit
-
-    def detach(self, node_id: str) -> None:
-        super().detach(node_id)
-        self._scalar_strategy = len(self._attach_order) < self.scalar_query_limit
-
-    def _rebuild(self, time: float) -> None:
-        if self._scalar_strategy:
-            # Small population: the scalar rebuild + bucket query is the
-            # measured winner (NumPy's fixed per-call costs — array
-            # allocation, mask evaluation, flatnonzero — outweigh a dozen
-            # leg-cached position lookups), so below the threshold this
-            # index IS the scalar grid, bit for bit and microsecond for
-            # microsecond.  ``array_rebuilds`` counts only vectorized
-            # snapshots, so profiles show which strategy actually ran.
-            super()._rebuild(time)
-            return
-        np = self._np
-        order = self.node_ids
-        pos = self._positions_array(order, time)
-        self._snap_order = order
-        self._snap_pos = pos
-        if len(order) != len(self._row_of) or order != tuple(self._row_of):
-            self._row_of = {node_id: row for row, node_id in enumerate(order)}
-        # floor(x / cell) per axis, encoded into one int64 per node; a
-        # stable argsort keeps each cell's rows in attach order (row index
-        # == attach order: node_ids iterates in attach sequence).
-        cells = np.floor(pos / self.cell_size).astype(np.int64)
-        codes = cells[:, 0] * self._CELL_STRIDE + cells[:, 1]
-        rows = np.argsort(codes, kind="stable")
-        self._sorted_codes = codes[rows]
-        self._sorted_rows = rows
-        self.array_rebuilds += 1
-
-    def neighbors(self, node_id: str, radius: float, time: float) -> List[str]:
-        if self._scalar_strategy:
-            # The parent's bucket loop (including its own staleness check,
-            # which lands in our _rebuild and therefore scans positions_array
-            # coordinates) — the vectorized query's fixed per-call NumPy
-            # overhead loses to it below scalar_query_limit nodes.
-            return super().neighbors(node_id, radius, time)
-        np = self._np
-        position_xy = self._position_xy
-        origin_x, origin_y = position_xy(node_id, time)
-        # Identical slack / ring arithmetic to GridNeighborIndex.neighbors —
-        # the classification thresholds must match the scalar oracle bit for
-        # bit for the two backends to return identical node sets.
-        slack = self._ensure_snapshot(time) + 1e-9 * (1.0 + radius)
-        reach = radius + slack
-        inner = radius - slack
-        inner_sq = inner * inner if inner > 0.0 else -1.0
-        outer_sq = reach * reach
-        radius_sq = radius * radius
-        order = self._snap_order
-        cell = self.cell_size
-        min_cx = math.floor((origin_x - reach) / cell)
-        max_cx = math.floor((origin_x + reach) / cell)
-        min_cy = math.floor((origin_y - reach) / cell)
-        max_cy = math.floor((origin_y + reach) / cell)
-        stride = self._CELL_STRIDE
-        codes = np.asarray(
-            [
-                cx * stride + cy
-                for cx in range(min_cx, max_cx + 1)
-                for cy in range(min_cy, max_cy + 1)
-            ],
-            dtype=np.int64,
-        )
-        sorted_codes = self._sorted_codes
-        left = np.searchsorted(sorted_codes, codes, side="left")
-        right = np.searchsorted(sorted_codes, codes, side="right")
-        spans = [
-            self._sorted_rows[lo:hi] for lo, hi in zip(left, right) if hi > lo
-        ]
-        if not spans:
-            return []
-        rows = np.concatenate(spans)
-        pos = self._snap_pos[rows]
-        dx = pos[:, 0] - origin_x
-        dy = pos[:, 1] - origin_y
-        snap_sq = dx * dx + dy * dy
-        certain = snap_sq <= inner_sq
-        uncertain = (snap_sq <= outer_sq) & ~certain
-        for index in np.flatnonzero(uncertain):
-            other_id = order[rows[index]]
-            if other_id == node_id:
-                continue
-            other_x, other_y = position_xy(other_id, time)
-            ex = other_x - origin_x
-            ey = other_y - origin_y
-            if ex * ex + ey * ey <= radius_sq:
-                certain[index] = True
-        selected = np.flatnonzero(certain)
-        selected = np.sort(rows[selected])
-        self_row = self._row_of.get(node_id)
-        return [
-            order[row]
-            for row in selected
-            if row != self_row
-        ]
-
-
 def build_neighbor_index(
     config, mobility: MobilityModel, max_range: Optional[float] = None
 ) -> NeighborIndex:
@@ -425,53 +260,12 @@ def build_neighbor_index(
     backend = getattr(config, "neighbor_index", "grid")
     if backend == "brute":
         return BruteForceNeighborIndex(mobility)
-    if backend in ("grid", "grid_array"):
+    if backend == "grid":
         cell_size = config.index_cell_size
         if cell_size is None:
             if max_range is None:
                 max_range = getattr(config, "max_range", lambda: config.wifi_range)()
             cell_size = max_range
-        # ``grid`` auto-upgrades to the array-native index when the resolved
-        # array backend is NumPy (population-adaptive: it vectorizes only
-        # once the world is big enough to pay off); ``grid_array`` asks for
-        # the vectorized machinery explicitly at any size (and degrades to
-        # the scalar grid — with resolve's warning — without NumPy).  All
-        # combinations return identical neighbor sets.
-        array_choice = getattr(config, "array_backend", "auto")
-        if backend == "grid_array" and array_choice == "auto":
-            array_choice = "numpy"
-        use_array = resolve_array_backend(array_choice) == "numpy"
-        # The adaptive crossover is tunable per-experiment
-        # (ChannelConfig.scalar_query_limit); the measured defaults stay
-        # 256 for "grid" and 1 (always vectorize) for "grid_array".
-        scalar_query_limit = getattr(config, "scalar_query_limit", None)
-        if scalar_query_limit is None:
-            scalar_query_limit = 1 if backend == "grid_array" else 256
-        shards = getattr(config, "shards", 1)
-        if shards > 1:
-            from repro.wireless.sharded import ShardedNeighborIndex, partition_for_config
-
-            epoch = getattr(config, "shard_epoch", None)
-            if epoch is None:
-                epoch = config.index_rebuild_interval
-            return ShardedNeighborIndex(
-                mobility,
-                cell_size=cell_size,
-                shards=shards,
-                region_width=partition_for_config(config, max_range).region_width,
-                epoch=epoch,
-                use_array=use_array,
-                scalar_query_limit=scalar_query_limit,
-                workers=getattr(config, "shard_workers", 1),
-                executor=getattr(config, "shard_executor", "thread"),
-            )
-        if use_array:
-            return ArrayGridNeighborIndex(
-                mobility,
-                cell_size=cell_size,
-                rebuild_interval=config.index_rebuild_interval,
-                scalar_query_limit=scalar_query_limit,
-            )
         return GridNeighborIndex(
             mobility,
             cell_size=cell_size,

@@ -1,15 +1,31 @@
 """Tests for the experiment harness: configs, metrics, scenarios and runners."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core import DapesConfig
-from repro.experiments import ExperimentConfig, FeasibilityStudy, RunResult, percentile
-from repro.experiments.fig10_comparison import ComparisonExperiment
+from repro.experiments import (
+    ExperimentConfig,
+    ResultSet,
+    RunResult,
+    Variant,
+    percentile,
+    run_experiment,
+    run_feasibility_scenario,
+    to_text,
+)
+from repro.experiments.fig10_comparison import improvements
 from repro.experiments.fig9_bitmaps import _budget_label
 from repro.experiments.fig9_multihop import _probability_label
 from repro.experiments.metrics import SweepPoint, SweepResult, aggregate_trials
 from repro.experiments.runner import run_protocol_trial, run_trials
 from repro.experiments.scenario import build_collection, build_dapes_scenario, build_ip_scenario
+from repro.experiments.table1_feasibility import SCENARIO_NAMES, SPEC_TABLE1
 
 
 # --------------------------------------------------------------------- config
@@ -86,15 +102,12 @@ def test_sweep_result_rows_series_and_lookup():
     sweep.add_point(SweepPoint("A", {"wifi_range": 80}, 8.0, 120.0, 1.0, 1))
     sweep.add_point(SweepPoint("B", {"wifi_range": 40}, 20.0, 200.0, 1.0, 1))
     assert len(sweep.rows()) == 3
-    # series()/summary() are deprecated shims over ResultSet / report.to_text.
-    with pytest.warns(DeprecationWarning):
-        assert sweep.series("download_time")["A"] == [10.0, 8.0]
-    with pytest.warns(DeprecationWarning):
-        assert sweep.series("transmissions")["B"] == [200.0]
+    results = ResultSet.from_sweep(sweep)
+    assert results.series("download_time")["A"] == [10.0, 8.0]
+    assert results.series("transmissions")["B"] == [200.0]
     assert sweep.point("A", wifi_range=80).download_time == 8.0
     assert sweep.point("C") is None
-    with pytest.warns(DeprecationWarning):
-        assert sweep.summary()  # renders without error
+    assert to_text(sweep)  # renders without error
 
 
 def test_labels_helpers():
@@ -137,6 +150,25 @@ def test_run_protocol_trial_dapes_tiny_completes():
     assert set(result.download_times) <= set(f"mobile-{i}" for i in range(1, 10)) | {"repo-0"}
 
 
+def test_dapes_trial_never_imports_numpy():
+    """The simulator is pure Python: importing the harness and running a
+    DAPES trial must not load NumPy (a fresh interpreter, so no other test
+    can have imported it first)."""
+    code = (
+        "import sys\n"
+        "import repro.experiments\n"
+        "from repro.experiments import ExperimentConfig, run_protocol_trial\n"
+        "run_protocol_trial('dapes', ExperimentConfig.tiny(), seed=3)\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
 def test_run_protocol_trial_rejects_unknown_protocol():
     with pytest.raises(ValueError):
         run_protocol_trial("gnutella", ExperimentConfig.tiny(), seed=1)
@@ -155,29 +187,29 @@ def test_comparison_improvements_math():
     sweep = SweepResult(name="cmp", description="")
     sweep.add_point(SweepPoint("DAPES", {"wifi_range": 60.0}, 10.0, 100.0, 1.0, 1))
     sweep.add_point(SweepPoint("Bithoc", {"wifi_range": 60.0}, 20.0, 400.0, 1.0, 1))
-    improvements = ComparisonExperiment.improvements(sweep, metric="download_time")
-    assert improvements["Bithoc"][0] == pytest.approx(0.5)
-    improvements = ComparisonExperiment.improvements(sweep, metric="transmissions")
-    assert improvements["Bithoc"][0] == pytest.approx(0.75)
+    assert improvements(sweep, metric="download_time")["Bithoc"][0] == pytest.approx(0.5)
+    assert improvements(sweep, metric="transmissions")["Bithoc"][0] == pytest.approx(0.75)
 
 
 # ------------------------------------------------------------------ Table I
 def test_feasibility_scenario_validation():
-    study = FeasibilityStudy(config=ExperimentConfig.tiny())
     with pytest.raises(ValueError):
-        study.run_scenario(4)
+        run_feasibility_scenario(ExperimentConfig.tiny(), 4)
 
 
 def test_feasibility_single_scenario_runs():
     config = ExperimentConfig.tiny().with_overrides(max_duration=300.0)
-    study = FeasibilityStudy(config=config)
-    outcome = study.run_scenario(2)
-    assert outcome.scenario == 2
-    assert outcome.transmissions > 0
-    assert outcome.download_time > 0
-    assert outcome.memory_overhead_mb > 0
-    row = outcome.as_row()
-    assert set(row) >= {"download_time_s", "transmissions", "memory_overhead_mb", "context_switches"}
+    spec = SPEC_TABLE1.with_variants(
+        [Variant(label=SCENARIO_NAMES[2], parameters={"scenario": 2})]
+    )
+    result = run_experiment(spec, config)
+    (point,) = result.points
+    assert point.parameters["scenario"] == 2
+    assert point.transmissions > 0
+    assert point.download_time > 0
+    assert point.extras["memory_overhead_mb"] > 0
+    assert set(point.extras) >= {"memory_overhead_mb", "context_switches"}
+    assert SCENARIO_NAMES[2] in to_text(result)
 
 
 # ----------------------------------------------------- metrics edge cases

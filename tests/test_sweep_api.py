@@ -235,15 +235,3 @@ def test_suite_with_duplicate_experiment_names_does_not_clobber_results(tmp_path
 def test_cli_rejects_unknown_axis_names():
     with pytest.raises(SystemExit, match="matches no axis"):
         cli.main(["run", "fig9a", "--preset", "tiny", "--axis", "wifi_rage=40"])
-
-
-def test_feasibility_run_empty_list_means_all_scenarios():
-    import warnings as _warnings
-
-    from repro.experiments import FeasibilityStudy
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", DeprecationWarning)
-        study = FeasibilityStudy(config=ExperimentConfig.tiny())
-    result = study.run([])
-    assert {point.parameters["scenario"] for point in result.points} == {1, 2, 3}
